@@ -31,7 +31,13 @@ pub const FNV_PRIME: u64 = 0x100_0000_01b3;
 /// FNV-1a over `bytes` (the workspace's standing zero-dep hash).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a digest `h` over `bytes`: FNV-1a is a left fold,
+/// so `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`.
+#[must_use]
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
@@ -86,6 +92,11 @@ impl std::fmt::Display for CacheKey {
 
 /// Builds a [`CacheKey`] from named, length-framed fields.
 ///
+/// The digest is folded in frame by frame as fields are appended, so
+/// [`finish`](Self::finish) costs nothing, and a clone of a builder that
+/// already holds a long shared prefix (a core table) pays only for the
+/// fields appended after it.
+///
 /// ```
 /// use mstacks_core::cachekey::KeyBuilder;
 ///
@@ -98,6 +109,8 @@ impl std::fmt::Display for CacheKey {
 #[derive(Debug, Clone)]
 pub struct KeyBuilder {
     canon: String,
+    /// FNV-1a of `canon` so far.
+    digest: u64,
 }
 
 impl KeyBuilder {
@@ -107,6 +120,7 @@ impl KeyBuilder {
     pub fn new(endpoint: &str) -> Self {
         let mut b = KeyBuilder {
             canon: String::with_capacity(256),
+            digest: FNV_OFFSET,
         };
         b.push_frame("endpoint", endpoint);
         b
@@ -126,16 +140,18 @@ impl KeyBuilder {
         // name and length in the frame header; \x1f/\x1e are the ASCII
         // unit/record separators (never produced by the canonical dumps,
         // but the length prefix keeps even hostile values unambiguous).
+        let start = self.canon.len();
         let _ = write!(self.canon, "{name}\x1f{}\x1f{value}\x1e", value.len());
+        self.digest = fnv1a_extend(self.digest, &self.canon.as_bytes()[start..]);
     }
 
-    /// Finalizes into the canonical string + digest.
+    /// Finalizes into the canonical string + digest (`fnv1a` of the
+    /// canonical string, already accumulated frame by frame).
     #[must_use]
     pub fn finish(self) -> CacheKey {
-        let digest = fnv1a(self.canon.as_bytes());
         CacheKey {
             canonical: self.canon,
-            digest,
+            digest: self.digest,
         }
     }
 }
@@ -150,6 +166,30 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn incremental_digest_equals_a_whole_string_fnv() {
+        use mstacks_model::rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
+        for _ in 0..200 {
+            let mut b = KeyBuilder::new(["simulate", "corun", ""][rng.gen_range(0..3usize)]);
+            for _ in 0..rng.gen_range(0..12usize) {
+                let text = |rng: &mut SmallRng, max: usize| -> String {
+                    (0..rng.gen_range(0..max))
+                        .map(|_| char::from_u32(rng.gen_range(0..0x800u32)).unwrap_or('?'))
+                        .collect()
+                };
+                let name = text(&mut rng, 8);
+                let value = text(&mut rng, 300);
+                b = b.field(&name, value);
+                // A clone taken mid-way finishes to its own prefix's key.
+                let mid = b.clone().finish();
+                assert_eq!(mid.digest(), fnv1a(mid.canonical().as_bytes()));
+            }
+            let k = b.finish();
+            assert_eq!(k.digest(), fnv1a(k.canonical().as_bytes()));
+        }
     }
 
     #[test]

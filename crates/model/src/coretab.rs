@@ -14,7 +14,7 @@
 //! guaranteed field-for-field equal to the hand-written constructors (see
 //! `tests/core_tables.rs`); two additional table-only cores (`zen`,
 //! `atom`) exist purely as data. [`builtin`] parses the embedded copy of
-//! any shipped table.
+//! any shipped table, once per process.
 //!
 //! # Grammar notes
 //!
@@ -39,6 +39,7 @@ use crate::config::{
     BpredConfig, CacheConfig, CoreConfig, LatencyTable, MemConfig, PrefetchConfig, TlbConfig,
 };
 use crate::ports::{caps, PortSpec};
+use std::sync::OnceLock;
 
 /// Names of the shipped built-in core tables (in `cores/`).
 pub const BUILTIN_NAMES: [&str; 5] = ["bdw", "knl", "skx", "zen", "atom"];
@@ -55,16 +56,38 @@ pub fn builtin_source(name: &str) -> Option<&'static str> {
     }
 }
 
-/// Parses a shipped built-in table by name.
+/// The memoized preset at `BUILTIN_NAMES[i]`, parsed on first use.
+fn preset(i: usize) -> &'static CoreConfig {
+    static PRESETS: [OnceLock<CoreConfig>; BUILTIN_NAMES.len()] =
+        [const { OnceLock::new() }; BUILTIN_NAMES.len()];
+    PRESETS[i].get_or_init(|| {
+        let name = BUILTIN_NAMES[i];
+        let src = builtin_source(name).expect("every builtin name has a source");
+        parse(src).unwrap_or_else(|e| panic!("embedded core table `{name}` is invalid: {e}"))
+    })
+}
+
+/// A shipped built-in table by name, as a [`CoreConfig`].
+///
+/// Memoized: each embedded table is parsed once per process, on the first
+/// call that names it; every call returns a clone of that parse, so it is
+/// equal to `parse(builtin_source(name))` field for field.
 ///
 /// # Panics
 ///
 /// Panics if the embedded table fails to parse — shipped tables are build
 /// artifacts validated in CI, so that is a packaging bug, not user error.
 pub fn builtin(name: &str) -> Option<CoreConfig> {
-    builtin_source(name).map(|src| {
-        parse(src).unwrap_or_else(|e| panic!("embedded core table `{name}` is invalid: {e}"))
-    })
+    let i = BUILTIN_NAMES.iter().position(|&n| n == name)?;
+    Some(preset(i).clone())
+}
+
+/// The index in [`BUILTIN_NAMES`] of the shipped preset that `cfg` equals:
+/// matched by name, then field for field (`==`). A configuration that
+/// borrows a preset's name but differs in any field has no index.
+pub fn preset_index(cfg: &CoreConfig) -> Option<usize> {
+    let i = BUILTIN_NAMES.iter().position(|&n| n == cfg.name)?;
+    (*preset(i) == *cfg).then_some(i)
 }
 
 /// Error from parsing or round-tripping a core table, with the offending
@@ -814,6 +837,31 @@ mod tests {
             cfg.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
         }
         assert!(builtin("p4").is_none());
+    }
+
+    #[test]
+    fn memoized_builtins_equal_a_fresh_parse() {
+        for name in BUILTIN_NAMES {
+            let fresh = parse(builtin_source(name).unwrap()).unwrap();
+            assert_eq!(builtin(name).unwrap(), fresh, "{name}");
+            // Twice: the second call is served from the memo.
+            assert_eq!(builtin(name).unwrap(), fresh, "{name}");
+        }
+    }
+
+    #[test]
+    fn preset_index_matches_by_name_and_every_field() {
+        for (i, name) in BUILTIN_NAMES.into_iter().enumerate() {
+            let fresh = parse(builtin_source(name).unwrap()).unwrap();
+            assert_eq!(preset_index(&fresh), Some(i), "{name}");
+            // Same name, one field changed: no preset.
+            let mut lookalike = fresh.clone();
+            lookalike.rob_size += 1;
+            assert_eq!(preset_index(&lookalike), None, "{name}");
+        }
+        let mut renamed = builtin("bdw").unwrap();
+        renamed.name = "mybdw".to_string();
+        assert_eq!(preset_index(&renamed), None);
     }
 
     fn bdw_table() -> String {

@@ -11,8 +11,8 @@
 //! computes; concurrent requesters for the same key block on a condvar
 //! and receive the leader's bytes, so N simultaneous identical requests
 //! cost one simulation. If the leader fails (admission rejection,
-//! simulation error), waiters wake, see the slot cleared, and the next
-//! one takes over leadership.
+//! simulation error, a panicking job), waiters wake, see the slot
+//! cleared, and the next one takes over leadership.
 
 use mstacks_core::cachekey::CacheKey;
 use std::collections::HashMap;
@@ -57,7 +57,8 @@ pub enum Fetched {
 }
 
 impl Fetched {
-    /// The response bytes either way.
+    /// The response bytes either way, shared with the cache entry (a
+    /// clone is a reference-count bump, not a copy).
     pub fn body(&self) -> &Arc<Vec<u8>> {
         match self {
             Fetched::Hit(b) | Fetched::Computed(b) => b,

@@ -6,10 +6,15 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 
 /// Caps to keep a hostile or confused client from ballooning memory.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 pub(crate) const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+
+/// Largest response body sent in the same `write_all` as its head; it
+/// also bounds the per-connection write buffer.
+pub const COALESCE_MAX: usize = 16 * 1024;
 
 /// One parsed request.
 #[derive(Debug)]
@@ -103,8 +108,10 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<HttpRequest, Re
 pub struct HttpResponse {
     status: u16,
     reason: &'static str,
-    headers: Vec<(String, String)>,
-    body: Vec<u8>,
+    headers: Vec<(&'static str, String)>,
+    /// Shared with the result cache, so a hit clones no body bytes
+    /// until [`write`](Self::write) sends them.
+    body: Arc<Vec<u8>>,
 }
 
 impl HttpResponse {
@@ -113,14 +120,14 @@ impl HttpResponse {
             status,
             reason,
             headers: Vec::new(),
-            body: Vec::new(),
+            body: Arc::default(),
         }
     }
 
-    pub fn json(status: u16, reason: &'static str, body: impl Into<Vec<u8>>) -> Self {
+    pub fn json(status: u16, reason: &'static str, body: impl Into<Arc<Vec<u8>>>) -> Self {
         let mut r = HttpResponse::new(status, reason);
         r.headers
-            .push(("Content-Type".to_string(), "application/json".to_string()));
+            .push(("Content-Type", "application/json".to_string()));
         r.body = body.into();
         r
     }
@@ -131,26 +138,42 @@ impl HttpResponse {
         HttpResponse::json(status, reason, body.into_bytes())
     }
 
-    pub fn header(mut self, name: &str, value: impl std::fmt::Display) -> Self {
-        self.headers.push((name.to_string(), value.to_string()));
+    pub fn header(mut self, name: &'static str, value: impl std::fmt::Display) -> Self {
+        self.headers.push((name, value.to_string()));
         self
     }
 
     /// Serializes and writes the response (always with Content-Length).
-    pub fn write(&self, stream: &mut TcpStream, close: bool) -> std::io::Result<()> {
-        let mut head = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason);
+    /// The head is rendered into `buf`, which a connection reuses for all
+    /// its responses; a body of at most [`COALESCE_MAX`] bytes is appended
+    /// to it so head and body leave in one `write_all`, and a larger body
+    /// follows in a second `write_all` straight from the shared bytes, so
+    /// `buf` never grows past a small head plus `COALESCE_MAX`.
+    pub fn write(
+        &self,
+        out: &mut impl Write,
+        buf: &mut Vec<u8>,
+        close: bool,
+    ) -> std::io::Result<()> {
+        buf.clear();
+        write!(buf, "HTTP/1.1 {} {}\r\n", self.status, self.reason)?;
         for (name, value) in &self.headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
+            write!(buf, "{name}: {value}\r\n")?;
         }
-        head.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
-        head.push_str(if close {
-            "Connection: close\r\n\r\n"
+        write!(buf, "Content-Length: {}\r\n", self.body.len())?;
+        buf.extend_from_slice(if close {
+            b"Connection: close\r\n\r\n"
         } else {
-            "Connection: keep-alive\r\n\r\n"
+            b"Connection: keep-alive\r\n\r\n"
         });
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
-        stream.flush()
+        if self.body.len() <= COALESCE_MAX {
+            buf.extend_from_slice(&self.body);
+            out.write_all(buf)?;
+        } else {
+            out.write_all(buf)?;
+            out.write_all(&self.body)?;
+        }
+        out.flush()
     }
 }
 
@@ -185,6 +208,55 @@ mod tests {
         let req = roundtrip("GET /v1/stats HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         assert!(req.close);
         assert!(req.body.is_empty());
+    }
+
+    /// Records the length of every `write` call it receives.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.push(b.to_vec());
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_of_head_and_body() {
+        let body = Arc::new(b"{\"x\":1}".to_vec());
+        let r = HttpResponse::json(200, "OK", body).header("X-Cache", "hit");
+        let mut buf = Vec::new();
+        for close in [false, true] {
+            let mut w = Writes::default();
+            r.write(&mut w, &mut buf, close).unwrap();
+            assert_eq!(w.0.len(), 1, "one write per response");
+            let connection = if close { "close" } else { "keep-alive" };
+            let want = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nX-Cache: hit\r\n\
+                 Content-Length: 7\r\nConnection: {connection}\r\n\r\n{{\"x\":1}}"
+            );
+            assert_eq!(String::from_utf8(w.0.remove(0)).unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn a_large_body_follows_its_head_and_leaves_the_buffer_small() {
+        let mut buf = Vec::new();
+        for len in [COALESCE_MAX, COALESCE_MAX + 1, 1 << 20] {
+            let r = HttpResponse::json(200, "OK", vec![b'x'; len]);
+            let mut w = Writes::default();
+            r.write(&mut w, &mut buf, false).unwrap();
+            let writes = if len <= COALESCE_MAX { 1 } else { 2 };
+            assert_eq!(w.0.len(), writes, "{len}");
+            assert!(buf.capacity() < 2 * COALESCE_MAX, "{}", buf.capacity());
+            let sent = w.0.concat();
+            let head = format!("Content-Length: {len}\r\nConnection: keep-alive\r\n\r\n");
+            let at = sent.windows(head.len()).position(|x| x == head.as_bytes());
+            assert_eq!(at.map(|a| sent.len() - a - head.len()), Some(len));
+        }
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod request;
 
 use cache::{Fetched, ResultCache};
 use http::{HttpRequest, HttpResponse, ReadError};
+use mstacks_core::cachekey::CacheKey;
 use mstacks_core::{jsonfmt, CoRun, Session};
 use mstacks_workloads::{CaptureRegistry, SharedTraceBuffer};
 use pool::{Pool, Rejected};
@@ -58,7 +59,7 @@ use request::{BadRequest, Kind, Request};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Server tuning knobs (defaults suit a developer box and CI).
@@ -199,12 +200,17 @@ fn serve_connection(stream: TcpStream, app: &Arc<App>) {
     };
     let mut write_half = write_half;
     let mut reader = BufReader::new(stream);
+    let mut out = Vec::with_capacity(4096);
     loop {
         let req = match http::read_request(&mut reader) {
             Ok(r) => r,
             Err(ReadError::Eof) => return,
             Err(ReadError::Bad(msg)) => {
-                let _ = HttpResponse::error(400, "Bad Request", &msg).write(&mut write_half, true);
+                let _ = HttpResponse::error(400, "Bad Request", &msg).write(
+                    &mut write_half,
+                    &mut out,
+                    true,
+                );
                 return;
             }
             Err(ReadError::Io(_)) => return,
@@ -212,7 +218,7 @@ fn serve_connection(stream: TcpStream, app: &Arc<App>) {
         app.requests.fetch_add(1, Ordering::Relaxed);
         let close = req.close;
         let resp = route(app, &req);
-        if resp.write(&mut write_half, close).is_err() || close {
+        if resp.write(&mut write_half, &mut out, close).is_err() || close {
             return;
         }
     }
@@ -220,7 +226,7 @@ fn serve_connection(stream: TcpStream, app: &Arc<App>) {
 
 fn route(app: &Arc<App>, req: &HttpRequest) -> HttpResponse {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => HttpResponse::json(200, "OK", &b"{\"ok\":true}"[..]),
+        ("GET", "/healthz") => HttpResponse::json(200, "OK", b"{\"ok\":true}".to_vec()),
         ("GET", "/v1/stats") => HttpResponse::json(200, "OK", stats_json(app).into_bytes()),
         ("POST", "/v1/simulate") => one_shot(app, &req.body, Request::simulate),
         ("POST", "/v1/corun") => one_shot(app, &req.body, Request::corun),
@@ -247,7 +253,7 @@ fn one_shot(
     match execute_cached(app, req) {
         Ok(f) => {
             let cache_state = if f.was_hit() { "hit" } else { "miss" };
-            HttpResponse::json(200, "OK", f.body().as_slice()).header("X-Cache", cache_state)
+            HttpResponse::json(200, "OK", f.body().clone()).header("X-Cache", cache_state)
         }
         Err(e) => e.into_response(),
     }
@@ -349,28 +355,66 @@ impl ComputeError {
 /// pool worker.
 type ResultSlot = Arc<(Mutex<Option<Result<Vec<u8>, String>>>, Condvar)>;
 
+/// Fills a [`ResultSlot`] exactly once, when dropped: with the job's
+/// output if it set one, else with an error — the job panicked, or was
+/// dropped without running. The leader therefore never waits on a slot
+/// nobody will fill.
+struct SlotWriter {
+    slot: ResultSlot,
+    out: Option<Result<Vec<u8>, String>>,
+}
+
+impl SlotWriter {
+    /// Fills the slot with the job's output.
+    fn fill(mut self, out: Result<Vec<u8>, String>) {
+        self.out = Some(out);
+    }
+}
+
+impl Drop for SlotWriter {
+    fn drop(&mut self) {
+        let out = self.out.take().unwrap_or_else(|| {
+            Err("simulation job did not complete (panicked or dropped)".to_string())
+        });
+        let (lock, cv) = &*self.slot;
+        *lock.lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+        cv.notify_all();
+    }
+}
+
 /// The cache-then-pool execution path shared by every analysis endpoint.
 fn execute_cached(app: &Arc<App>, req: Request) -> Result<Fetched, ComputeError> {
     let key = req.cache_key();
-    let shard = key.shard(app.pool.shards());
     let cost = req.cost_uops();
-    app.cache.get_or_compute(&key, || {
-        // Leader: run on the worker pool (admission-controlled) and wait.
+    execute_keyed(app, &key, cost, move |app| compute(app, &req))
+}
+
+/// Looks `key` up in the result cache; on a miss, runs `job` on the
+/// worker pool (admission-controlled, on the key's shard) as the
+/// single-flight leader and waits for it. A job that panics answers
+/// [`ComputeError::Failed`] and leaves no entry.
+fn execute_keyed(
+    app: &Arc<App>,
+    key: &CacheKey,
+    cost_uops: u64,
+    job: impl FnOnce(&App) -> Result<Vec<u8>, String> + Send + 'static,
+) -> Result<Fetched, ComputeError> {
+    app.cache.get_or_compute(key, || {
         let slot: ResultSlot = Arc::new((Mutex::new(None), Condvar::new()));
-        let job_slot = slot.clone();
+        let writer = SlotWriter {
+            slot: slot.clone(),
+            out: None,
+        };
         let job_app = app.clone();
         app.pool
-            .submit(shard, cost, move || {
-                let out = compute(&job_app, &req);
-                let (lock, cv) = &*job_slot;
-                *lock.lock().expect("result slot") = Some(out);
-                cv.notify_all();
+            .submit(key.shard(app.pool.shards()), cost_uops, move || {
+                writer.fill(job(&job_app));
             })
             .map_err(ComputeError::Backpressure)?;
         let (lock, cv) = &*slot;
-        let mut got = lock.lock().expect("result slot");
+        let mut got = lock.lock().unwrap_or_else(PoisonError::into_inner);
         while got.is_none() {
-            got = cv.wait(got).expect("result slot");
+            got = cv.wait(got).unwrap_or_else(PoisonError::into_inner);
         }
         got.take()
             .expect("slot filled")
@@ -381,7 +425,7 @@ fn execute_cached(app: &Arc<App>, req: Request) -> Result<Fetched, ComputeError>
 /// Runs the simulation for `req` and serializes the golden-pinned JSON.
 /// Trace decode goes through the shared capture registry, so concurrent
 /// and repeated requests for one workload profile decode it once.
-fn compute(app: &Arc<App>, req: &Request) -> Result<Vec<u8>, String> {
+fn compute(app: &App, req: &Request) -> Result<Vec<u8>, String> {
     match req.kind {
         Kind::Simulate => {
             let w = &req.workloads[0];
@@ -444,4 +488,84 @@ fn stats_json(app: &Arc<App>) -> String {
         p.executed,
         p.debt_uops,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mstacks_core::cachekey::KeyBuilder;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    fn app() -> Arc<App> {
+        Arc::new(App {
+            cache: ResultCache::new(1 << 20),
+            registry: CaptureRegistry::new(1 << 20),
+            pool: Pool::new(1, 1_000_000, 0),
+            started: Instant::now(),
+            requests: AtomicU64::new(0),
+        })
+    }
+
+    fn wait_for_zero_debt(app: &App) {
+        for _ in 0..200 {
+            if app.pool.stats().debt_uops == 0 {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        panic!("debt never retired: {:?}", app.pool.stats());
+    }
+
+    #[test]
+    fn a_panicking_job_fails_its_request_and_the_next_identical_one_recomputes() {
+        let app = app();
+        let key = KeyBuilder::new("test").field("tag", "boom").finish();
+        let first = execute_keyed(&app, &key, 10_000, |_| panic!("injected job panic"));
+        assert!(matches!(first, Err(ComputeError::Failed(_))));
+        let second = execute_keyed(&app, &key, 10_000, |_| Ok(b"fine".to_vec()))
+            .unwrap_or_else(|_| panic!("the retry computes"));
+        assert!(!second.was_hit());
+        assert_eq!(second.body().as_slice(), b"fine");
+        let third = execute_keyed(&app, &key, 10_000, |_| panic!("resident, never run"))
+            .unwrap_or_else(|_| panic!("hit"));
+        assert!(third.was_hit());
+        wait_for_zero_debt(&app);
+    }
+
+    #[test]
+    fn waiters_on_a_panicking_leader_do_not_hang() {
+        let app = app();
+        let key = KeyBuilder::new("test").field("tag", "joined").finish();
+        let panicked = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..4 {
+            let (app, key, panicked, tx) = (app.clone(), key.clone(), panicked.clone(), tx.clone());
+            std::thread::spawn(move || {
+                let got = execute_keyed(&app, &key, 10_000, move |_| {
+                    if !panicked.swap(true, Ordering::SeqCst) {
+                        // The first leader holds the slot long enough
+                        // for the others to join it, then panics.
+                        std::thread::sleep(Duration::from_millis(50));
+                        panic!("injected job panic");
+                    }
+                    Ok(b"body".to_vec())
+                });
+                let _ = tx.send(got.map(|f| f.body().to_vec()).map_err(|e| format!("{e:?}")));
+            });
+        }
+        let results: Vec<_> = (0..4)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(30))
+                    .expect("every request is answered")
+            })
+            .collect();
+        let failed = results.iter().filter(|r| r.is_err()).count();
+        assert_eq!(failed, 1, "{results:?}");
+        for r in results.iter().flatten() {
+            assert_eq!(r, b"body");
+        }
+        wait_for_zero_debt(&app);
+    }
 }

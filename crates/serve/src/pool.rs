@@ -17,8 +17,12 @@
 //!   shard queues into a dedicated worker, so a small interactive query
 //!   never sits behind a multi-million-µop run. Fast jobs are *always*
 //!   admitted — they are the queries backpressure is protecting.
+//! * **Panic isolation**: a job that panics is caught on its worker,
+//!   which goes on to the next job; the job's debt is retired by a drop
+//!   guard whether the job returns, unwinds or is dropped unrun.
 
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -129,7 +133,10 @@ impl Pool {
                     .name(name)
                     .spawn(move || {
                         while let Some(job) = q.pop(&shutdown) {
-                            job();
+                            // A panicking job must not take the shard
+                            // down; its own drop guards retire its debt
+                            // and answer whoever waits on it.
+                            let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
                             executed.fetch_add(1, Ordering::Relaxed);
                         }
                     })
@@ -185,10 +192,13 @@ impl Pool {
             self.fast_count.fetch_add(1, Ordering::Relaxed);
         }
         self.admitted.fetch_add(1, Ordering::Relaxed);
-        let debt = self.debt.clone();
+        let retire = RetireDebt {
+            debt: self.debt.clone(),
+            cost_uops,
+        };
         let wrapped: Job = Box::new(move || {
+            let _retire = retire;
             job();
-            debt.fetch_sub(cost_uops, Ordering::AcqRel);
         });
         if fast {
             self.fast.push(wrapped);
@@ -218,6 +228,19 @@ impl Pool {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+    }
+}
+
+/// Retires a job's µop debt when dropped: after the job returns, while it
+/// unwinds, or with the job itself if it never runs.
+struct RetireDebt {
+    debt: Arc<AtomicU64>,
+    cost_uops: u64,
+}
+
+impl Drop for RetireDebt {
+    fn drop(&mut self) {
+        self.debt.fetch_sub(self.cost_uops, Ordering::AcqRel);
     }
 }
 
@@ -254,6 +277,30 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         assert_eq!(pool.stats().debt_uops, 0);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_job_neither_kills_its_shard_nor_leaks_debt() {
+        let pool = Pool::new(1, 1_000_000, 0);
+        pool.submit(0, 10_000, || panic!("injected job panic"))
+            .expect("admitted");
+        let (tx, rx) = mpsc::channel();
+        pool.submit(0, 20_000, move || tx.send("ran").unwrap())
+            .expect("admitted");
+        assert_eq!(
+            rx.recv_timeout(std::time::Duration::from_secs(10))
+                .expect("the shard worker survived the panic"),
+            "ran"
+        );
+        for _ in 0..200 {
+            if pool.stats().debt_uops == 0 && pool.stats().executed == 2 {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let s = pool.stats();
+        assert_eq!((s.debt_uops, s.executed), (0, 2), "{s:?}");
         pool.shutdown();
     }
 

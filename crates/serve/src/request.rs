@@ -11,6 +11,8 @@ use mstacks_core::cachekey::{CacheKey, KeyBuilder};
 use mstacks_core::{BadSpecMode, SamplePlan};
 use mstacks_model::{coretab, CoreConfig, IdealFlags};
 use mstacks_workloads::{spec, Workload};
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// A decoded, validated analysis request.
 #[derive(Debug, Clone)]
@@ -143,13 +145,39 @@ impl Request {
     /// is a canonical form: the `.core` table dump, the workload's total
     /// `Debug` serialization, the `Display` forms of the flag set and the
     /// plan (both round-trip through their parsers).
+    ///
+    /// The `endpoint` and `core` frames lead every key. When the core
+    /// equals a shipped preset, that prefix — string and running digest —
+    /// is built once per process per (endpoint, preset) and cloned, so a
+    /// key costs the short per-request fields, not a table dump and a hash
+    /// of it. The bytes are those of the unmemoized path either way.
     pub fn cache_key(&self) -> CacheKey {
-        let endpoint = match self.kind {
+        static PREFIXES: [[OnceLock<KeyBuilder>; coretab::BUILTIN_NAMES.len()]; 2] =
+            [const { [const { OnceLock::new() }; coretab::BUILTIN_NAMES.len()] }; 2];
+        let prefix = match coretab::preset_index(&self.core) {
+            Some(i) => PREFIXES[self.kind as usize][i]
+                .get_or_init(|| self.key_prefix())
+                .clone(),
+            None => self.key_prefix(),
+        };
+        self.key_from(prefix)
+    }
+
+    fn endpoint(&self) -> &'static str {
+        match self.kind {
             Kind::Simulate => "simulate",
             Kind::CoRun => "corun",
-        };
-        let mut b = KeyBuilder::new(endpoint)
-            .field("core", self.core.to_table())
+        }
+    }
+
+    /// The `endpoint` and `core` frames, built from scratch.
+    fn key_prefix(&self) -> KeyBuilder {
+        KeyBuilder::new(self.endpoint()).field("core", self.core.to_table())
+    }
+
+    /// Appends the per-request frames to a [`key_prefix`](Self::key_prefix).
+    fn key_from(&self, prefix: KeyBuilder) -> CacheKey {
+        let mut b = prefix
             .field("cores", self.workloads.len())
             .field("ideal", self.ideal)
             .field("uops", self.uops)
@@ -161,7 +189,7 @@ impl Request {
             )
             .field("badspec", format!("{:?}", BadSpecMode::GroundTruth));
         for w in &self.workloads {
-            b = b.field("workload", format!("{w:?}"));
+            b = b.field("workload", workload_canon(w));
         }
         b.finish()
     }
@@ -181,6 +209,24 @@ impl Request {
             }
         };
         per_core * self.workloads.len() as u64
+    }
+}
+
+/// The `Debug` form of `w`, its frame in every key. Rendering it is most
+/// of a key's cost, so it is memoized for the shipped SPEC profiles
+/// (matched by `==`, which compares every generator parameter) and built
+/// afresh for any other workload.
+fn workload_canon(w: &Workload) -> Cow<'static, str> {
+    static PROFILES: OnceLock<Vec<(Workload, OnceLock<String>)>> = OnceLock::new();
+    let profiles = PROFILES.get_or_init(|| {
+        spec::all()
+            .into_iter()
+            .map(|p| (p, OnceLock::new()))
+            .collect()
+    });
+    match profiles.iter().find(|(p, _)| p == w) {
+        Some((p, debug)) => Cow::Borrowed(debug.get_or_init(|| format!("{p:?}"))),
+        None => Cow::Owned(format!("{w:?}")),
     }
 }
 
@@ -275,6 +321,85 @@ mod tests {
             preset.cache_key().canonical(),
             verbatim.cache_key().canonical()
         );
+    }
+
+    /// The key of `r` built without any memo, frame by frame: its core
+    /// re-parsed from the shipped source and dumped afresh, its workloads
+    /// formatted afresh.
+    fn fresh_key(r: &Request, name: &str) -> CacheKey {
+        let core = coretab::parse(coretab::builtin_source(name).unwrap()).unwrap();
+        let mut b = KeyBuilder::new(r.endpoint())
+            .field("core", core.to_table())
+            .field("cores", r.workloads.len())
+            .field("ideal", r.ideal)
+            .field("uops", r.uops)
+            .field(
+                "sample",
+                r.sample.as_ref().map_or("-".to_string(), |p| p.to_string()),
+            )
+            .field("badspec", format!("{:?}", BadSpecMode::GroundTruth));
+        for w in &r.workloads {
+            b = b.field("workload", format!("{w:?}"));
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn memoized_keys_equal_fresh_parse_keys_for_every_preset_and_endpoint() {
+        use mstacks_core::cachekey::fnv1a;
+        for name in coretab::BUILTIN_NAMES {
+            let sim = format!(r#"{{"workload":"mcf","core":"{name}","ideal":"dcache"}}"#);
+            let co = format!(r#"{{"workloads":["mcf","lbm"],"core":"{name}"}}"#);
+            for r in [
+                Request::simulate(&body(&sim)).unwrap(),
+                Request::corun(&body(&co)).unwrap(),
+            ] {
+                let want = fresh_key(&r, name);
+                // First call fills the memo, the second is served from it.
+                for _ in 0..2 {
+                    let got = r.cache_key();
+                    assert_eq!(got.canonical(), want.canonical(), "{name}");
+                    assert_eq!(got.digest(), want.digest(), "{name}");
+                    assert_eq!(got.digest(), fnv1a(got.canonical().as_bytes()));
+                    assert_eq!(got.shard(7), want.shard(7));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inline_table_with_a_preset_name_but_one_changed_field_gets_its_own_key() {
+        let preset = Request::simulate(&body(r#"{"workload":"mcf","core":"skx"}"#)).unwrap();
+        let table = coretab::builtin("skx").unwrap().to_table();
+        let changed = table.replace("rob_size = 224", "rob_size = 225");
+        assert_ne!(changed, table, "the skx table has rob_size = 224");
+        let inline = Request::simulate(
+            &jsonin::parse(&format!(
+                r#"{{"workload":"mcf","core_table":{}}}"#,
+                quote(&changed)
+            ))
+            .unwrap(),
+        )
+        .unwrap();
+        assert_eq!(inline.core.name, "skx");
+        let k = inline.cache_key();
+        assert_ne!(k.canonical(), preset.cache_key().canonical());
+        assert_ne!(k.digest(), preset.cache_key().digest());
+        assert!(k.canonical().contains("rob_size = 225"));
+    }
+
+    #[test]
+    fn a_workload_that_differs_from_its_profile_gets_its_own_key() {
+        let profile = Request::simulate(&body(r#"{"workload":"mcf"}"#)).unwrap();
+        let mut custom = profile.clone();
+        let Workload::Synth(p) = &mut custom.workloads[0] else {
+            panic!("mcf is a synthetic profile");
+        };
+        p.seed += 1;
+        let k = custom.cache_key();
+        assert_ne!(k.canonical(), profile.cache_key().canonical());
+        assert_eq!(k.canonical(), fresh_key(&custom, "bdw").canonical());
+        assert_eq!(k.digest(), fresh_key(&custom, "bdw").digest());
     }
 
     #[test]

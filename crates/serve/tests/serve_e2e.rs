@@ -6,6 +6,9 @@
 
 use mstacks_serve::client::Client;
 use mstacks_serve::{Server, ServerConfig};
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 fn small_server() -> (mstacks_serve::ServerHandle, Client) {
     let handle = Server::spawn(ServerConfig {
@@ -283,5 +286,175 @@ fn bad_requests_are_400s_and_unknown_routes_404() {
     );
     assert_eq!(c.post("/v1/nope", "{}").unwrap().status, 404);
     assert_eq!(c.get("/nope").unwrap().status, 404);
+    handle.shutdown();
+}
+
+/// One response split off the front of raw bytes read from a socket.
+struct Message {
+    status: u16,
+    head: String,
+    body: Vec<u8>,
+}
+
+impl Message {
+    fn header(&self, name: &str) -> Option<&str> {
+        self.head.lines().skip(1).find_map(|l| {
+            let (n, v) = l.split_once(':')?;
+            n.eq_ignore_ascii_case(name).then(|| v.trim())
+        })
+    }
+}
+
+/// Parses one well-framed HTTP/1.1 response off the front of `raw`
+/// (status line, headers, exactly one `Content-Length`, then that many
+/// body bytes) and returns it with the bytes after it, or `None` when
+/// `raw` does not hold a whole message yet.
+fn split_message(raw: &[u8]) -> Option<(Message, &[u8])> {
+    let end = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
+    let head = String::from_utf8(raw[..end].to_vec()).expect("ASCII head");
+    let status_line = head.lines().next().expect("status line");
+    assert!(status_line.starts_with("HTTP/1.1 "), "{status_line:?}");
+    let status = status_line[9..12].parse().expect("status code");
+    let lengths: Vec<usize> = head
+        .lines()
+        .filter_map(|l| l.split_once(':'))
+        .filter(|(n, _)| n.eq_ignore_ascii_case("content-length"))
+        .map(|(_, v)| v.trim().parse().expect("numeric Content-Length"))
+        .collect();
+    assert_eq!(lengths.len(), 1, "exactly one Content-Length in {head:?}");
+    let body_start = end + 4;
+    let body_end = body_start + lengths[0];
+    if raw.len() < body_end {
+        return None;
+    }
+    let msg = Message {
+        status,
+        head,
+        body: raw[body_start..body_end].to_vec(),
+    };
+    Some((msg, &raw[body_end..]))
+}
+
+/// Sends `request` on a kept-alive connection and reads exactly one
+/// response; nothing may follow it.
+fn exchange(s: &mut TcpStream, request: &str) -> Message {
+    s.write_all(request.as_bytes()).unwrap();
+    let mut raw = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some((msg, rest)) = split_message(&raw) {
+            assert!(rest.is_empty(), "bytes past the message: {rest:?}");
+            // No stray bytes arrive after a complete message either.
+            s.set_read_timeout(Some(Duration::from_millis(100)))
+                .unwrap();
+            match s.read(&mut chunk) {
+                Ok(n) => assert_eq!(n, 0, "stray bytes after the message"),
+                Err(e) => assert!(
+                    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                    "{e}"
+                ),
+            }
+            s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+            return msg;
+        }
+        let n = s.read(&mut chunk).expect("read response");
+        assert!(n > 0, "connection closed mid-message");
+        raw.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// Reads to EOF and splits the bytes into messages; nothing may be left.
+fn read_all_messages(s: &mut TcpStream) -> Vec<Message> {
+    let mut raw = Vec::new();
+    s.read_to_end(&mut raw).expect("read to EOF");
+    let mut rest = &raw[..];
+    let mut out = Vec::new();
+    while !rest.is_empty() {
+        let (msg, tail) = split_message(rest).expect("a whole message before EOF");
+        out.push(msg);
+        rest = tail;
+    }
+    out
+}
+
+fn post(path: &str, body: &str, connection: &str) -> String {
+    format!(
+        "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n{connection}\r\n{body}",
+        body.len()
+    )
+}
+
+#[test]
+fn every_response_is_one_well_framed_message() {
+    let (handle, _) = small_server();
+    let mut s = TcpStream::connect(handle.addr()).unwrap();
+    let sim = r#"{"workload":"mcf","core":"zen","uops":20000}"#;
+
+    let miss = exchange(&mut s, &post("/v1/simulate", sim, ""));
+    assert_eq!((miss.status, miss.header("X-Cache")), (200, Some("miss")));
+    assert_eq!(miss.header("Connection"), Some("keep-alive"));
+    let hit = exchange(&mut s, &post("/v1/simulate", sim, ""));
+    assert_eq!((hit.status, hit.header("X-Cache")), (200, Some("hit")));
+    assert_eq!(hit.body, miss.body, "hit bytes equal the miss bytes");
+    assert_eq!(hit.head, miss.head.replace("X-Cache: miss", "X-Cache: hit"));
+
+    let bad_json = exchange(&mut s, &post("/v1/simulate", "not json", ""));
+    assert_eq!(bad_json.status, 400);
+    assert!(bad_json.body.starts_with(b"{\"error\":"));
+    let not_found = exchange(&mut s, &post("/v1/nope", "{}", ""));
+    assert_eq!(not_found.status, 404);
+
+    // The connection survived all of the above; a close request gets one
+    // last message and then EOF.
+    s.write_all(post("/v1/simulate", sim, "Connection: close\r\n").as_bytes())
+        .unwrap();
+    let last = read_all_messages(&mut s);
+    assert_eq!(last.len(), 1);
+    assert_eq!(
+        (last[0].status, last[0].header("X-Cache")),
+        (200, Some("hit"))
+    );
+    assert_eq!(last[0].header("Connection"), Some("close"));
+    assert_eq!(last[0].body, miss.body);
+
+    // A malformed request line is a 400 that closes the connection.
+    let mut s = TcpStream::connect(handle.addr()).unwrap();
+    s.write_all(b"NONSENSE\r\n\r\n").unwrap();
+    let bad = read_all_messages(&mut s);
+    assert_eq!(bad.len(), 1);
+    assert_eq!(bad[0].status, 400);
+    assert_eq!(bad[0].header("Connection"), Some("close"));
+    handle.shutdown();
+}
+
+#[test]
+fn pipelined_keep_alive_requests_are_answered_in_order() {
+    let (handle, _) = small_server();
+    let mut s = TcpStream::connect(handle.addr()).unwrap();
+    let sim = r#"{"workload":"lbm","core":"bdw","uops":20000}"#;
+    // Three requests in one write: a miss, a probe, and a closing 404.
+    let batch = [
+        post("/v1/simulate", sim, ""),
+        "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".to_string(),
+        "GET /nope HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n".to_string(),
+    ]
+    .concat();
+    s.write_all(batch.as_bytes()).unwrap();
+    let got = read_all_messages(&mut s);
+    assert_eq!(got.len(), 3, "one response per request, then EOF");
+    assert_eq!(
+        (got[0].status, got[0].header("X-Cache")),
+        (200, Some("miss"))
+    );
+    assert!(got[0].body.starts_with(b"{"), "simulate schema first");
+    assert_eq!(
+        (got[1].status, &got[1].body[..]),
+        (200, &b"{\"ok\":true}"[..])
+    );
+    assert_eq!(got[2].status, 404);
+    assert_eq!(got[2].header("Connection"), Some("close"));
+    for m in &got[..2] {
+        assert_eq!(m.header("Connection"), Some("keep-alive"));
+    }
     handle.shutdown();
 }
